@@ -6,6 +6,11 @@
 // seed derived from -seed, so output is byte-identical for any
 // -parallel value. Timing goes to stderr to keep stdout canonical.
 //
+// -parallel bounds the campaign replications only. The reduce phase's
+// SVR grid searches (Tables II and IV, EndToEnd) fan their cells out
+// over GOMAXPROCS workers, again without changing a byte of output;
+// for a fully serial run, set GOMAXPROCS=1.
+//
 // Usage:
 //
 //	repro -list

@@ -444,8 +444,10 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 
 // reduce resolves one plan: the first failed unit in declaration order
 // wins (deterministic regardless of which units happened to finish),
-// otherwise Reduce assembles the value.
-func reduce(p *Plan, outs []any, errs []error) Outcome {
+// otherwise Reduce assembles the value. A panicking Reduce becomes the
+// plan's error, as a panicking unit does in runUnit, so it cannot take
+// down the delivery goroutine and every later plan with it.
+func reduce(p *Plan, outs []any, errs []error) (o Outcome) {
 	for i, err := range errs {
 		if err != nil {
 			return Outcome{Err: &UnitError{Key: p.Units[i].Key, Index: i, Err: err}}
@@ -454,6 +456,11 @@ func reduce(p *Plan, outs []any, errs []error) Outcome {
 	if p.Reduce == nil {
 		return Outcome{Value: outs}
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			o = Outcome{Err: fmt.Errorf("reduce: panic: %v", r)}
+		}
+	}()
 	v, err := p.Reduce(outs)
 	return Outcome{Value: v, Err: err}
 }

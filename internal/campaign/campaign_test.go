@@ -204,6 +204,28 @@ func TestPanicBecomesUnitError(t *testing.T) {
 	}
 }
 
+func TestReducePanicBecomesPlanError(t *testing.T) {
+	// A panicking Reduce fails its own plan and nothing else: the plan
+	// declared after it still reduces normally, on every execution mode.
+	pool := NewPool(4, 8)
+	defer pool.Close()
+	want, err := Engine{Workers: 1}.Run(sumPlan(5, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Engine{{Workers: 1}, {Workers: 4}, {Pool: pool}} {
+		bad := sumPlan(3, 6)
+		bad.Reduce = func([]any) (any, error) { panic("reduce kaboom") }
+		got := e.RunAll([]*Plan{bad, sumPlan(5, 6)})
+		if got[0].Err == nil || !strings.Contains(got[0].Err.Error(), "reduce kaboom") {
+			t.Errorf("workers=%d pool=%v: reduce panic not converted to error: %v", e.Workers, e.Pool != nil, got[0].Err)
+		}
+		if got[1].Err != nil || got[1].Value != want {
+			t.Errorf("workers=%d pool=%v: plan after the panic = %v, %v; want %v", e.Workers, e.Pool != nil, got[1].Value, got[1].Err, want)
+		}
+	}
+}
+
 func TestNilReduceReturnsOrderedOutputs(t *testing.T) {
 	p := sumPlan(11, 10)
 	p.Reduce = nil

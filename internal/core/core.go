@@ -97,27 +97,11 @@ func fitRegressor(kind ModelKind, X [][]float64, y []float64, score regress.Scor
 		if k < 2 {
 			return nil, fmt.Errorf("core: %d samples too few for SVR cross-validation", len(X))
 		}
-		var best regress.Factory
-		bestScore := -1.0
-		for _, kern := range kernels {
-			for _, c := range coreGrid.Cs {
-				for _, eps := range coreGrid.Epsilons {
-					kern, c, eps := kern, c, eps
-					factory := func() regress.Regressor {
-						return &regress.SVR{Kernel: kern, C: c, Epsilon: eps}
-					}
-					mean, _, err := regress.CrossValScore(factory, X, y, k, stats.NewRng(1), score)
-					if err != nil {
-						return nil, err
-					}
-					if bestScore < 0 || mean < bestScore {
-						bestScore = mean
-						best = factory
-					}
-				}
-			}
+		best, _, err := regress.SearchSVR(kernels, coreGrid, X, y, k, 1, score)
+		if err != nil {
+			return nil, err
 		}
-		m := best()
+		m := best.New()
 		if err := m.Fit(X, y); err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func evaluateRegressor(factory regress.Factory, X [][]float64, y []float64, k in
 	return kfoldMean, kfoldStd, stats.MAE(pred, teY), stats.MAPE(pred, teY), nil
 }
 
-// svrBandwidths lists kernel-bandwidth candidates swept alongside the
+// rbfCandidates lists kernel-bandwidth candidates swept alongside the
 // paper's (C, ε) grid, on min-max-normalized features.
 var rbfCandidates = []regress.Kernel{
 	regress.RBF{Sigma: 0.05}, regress.RBF{Sigma: 0.1},

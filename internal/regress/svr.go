@@ -64,14 +64,14 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 		tol = 1e-6
 	}
 
-	// Precompute the bias-augmented Gram matrix.
-	gram := make([][]float64, n)
-	for i := range gram {
-		gram[i] = make([]float64, n)
+	// Precompute the bias-augmented Gram matrix, row-major in one
+	// n·n slice.
+	gram := make([]float64, n*n)
+	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := s.Kernel.Eval(X[i], X[j]) + 1
-			gram[i][j] = v
-			gram[j][i] = v
+			gram[i*n+j] = v
+			gram[j*n+i] = v
 		}
 	}
 
@@ -81,7 +81,8 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 	for iter := 0; iter < maxIter; iter++ {
 		var maxDelta float64
 		for i := 0; i < n; i++ {
-			kii := gram[i][i]
+			row := gram[i*n : (i+1)*n]
+			kii := row[i]
 			if kii <= 0 {
 				return fmt.Errorf("regress: kernel is not positive on sample %d", i)
 			}
@@ -104,9 +105,7 @@ func (s *SVR) Fit(X [][]float64, y []float64) error {
 				continue
 			}
 			beta[i] = next
-			for j := 0; j < n; j++ {
-				f[j] += delta * gram[i][j]
-			}
+			axpy(delta, row, f)
 			if ad := math.Abs(delta); ad > maxDelta {
 				maxDelta = ad
 			}
@@ -146,6 +145,25 @@ func (s *SVR) Predict(x []float64) float64 {
 // SupportVectors returns how many training points carry non-zero dual
 // weight.
 func (s *SVR) SupportVectors() int { return len(s.beta) }
+
+// axpy adds a·x to y element-wise: each y[j] gets exactly one
+// += a*x[j], so unrolling by four changes no result bit. Re-slicing y
+// to len(x) and x, y to each four-wide window lets the compiler drop
+// the per-element bounds checks.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xs, ys := x[j:j+4:j+4], y[j:j+4:j+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
+	}
+}
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
