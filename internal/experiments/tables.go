@@ -221,30 +221,35 @@ func planTableIV(seed int64) *campaign.Plan {
 	})
 }
 
-func reduceTableIV(seed int64, ds *checkpointDataset) (Result, error) {
-	obs := ds.observations()
-	const k = 5
-
-	// Feature matrices in MB, min-max normalized.
+// tableIVFeatures builds Table IV's three feature matrices from the
+// checkpoint observations, in MB and min-max normalized: total size
+// (Sc), data and meta sizes (Sd, Sm), and all three parts (Sd, Sm,
+// Si). y is the checkpoint time in seconds.
+func tableIVFeatures(ds *checkpointDataset) (scX, dmX, allX [][]float64, y []float64, err error) {
 	const mb = 1e6
 	var rawSc, rawDM, rawAll [][]float64
-	var y []float64
-	for _, o := range obs {
+	for _, o := range ds.observations() {
 		rawSc = append(rawSc, []float64{float64(o.DataBytes+o.MetaBytes+o.IndexBytes) / mb})
 		rawDM = append(rawDM, []float64{float64(o.DataBytes) / mb, float64(o.MetaBytes) / mb})
 		rawAll = append(rawAll, []float64{float64(o.DataBytes) / mb, float64(o.MetaBytes) / mb, float64(o.IndexBytes) / mb})
 		y = append(y, o.Seconds)
 	}
 	var sSc, sDM, sAll regress.MinMaxScaler
-	scX, err := sSc.FitTransform(rawSc)
-	if err != nil {
-		return nil, err
+	if scX, err = sSc.FitTransform(rawSc); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	dmX, err := sDM.FitTransform(rawDM)
-	if err != nil {
-		return nil, err
+	if dmX, err = sDM.FitTransform(rawDM); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	allX, err := sAll.FitTransform(rawAll)
+	if allX, err = sAll.FitTransform(rawAll); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return scX, dmX, allX, y, nil
+}
+
+func reduceTableIV(seed int64, ds *checkpointDataset) (Result, error) {
+	const k = 5
+	scX, dmX, allX, y, err := tableIVFeatures(ds)
 	if err != nil {
 		return nil, err
 	}

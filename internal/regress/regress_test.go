@@ -153,8 +153,9 @@ func TestSVRFitsNonlinearFunction(t *testing.T) {
 }
 
 func TestSVREpsilonInsensitivity(t *testing.T) {
-	// With a huge ε every point sits inside the tube and the model is
-	// identically zero (no support vectors).
+	// With a huge ε every point sits inside the tube: there are no
+	// support vectors and the model is the constant intercept, which
+	// with no free variable is the midpoint (min y + max y)/2.
 	X := AsMatrix([]float64{0, 0.5, 1})
 	y := []float64{0.1, 0.2, 0.15}
 	svr := &SVR{Kernel: RBF{Sigma: 1}, C: 10, Epsilon: 10}
@@ -164,8 +165,10 @@ func TestSVREpsilonInsensitivity(t *testing.T) {
 	if svr.SupportVectors() != 0 {
 		t.Fatalf("support vectors = %d, want 0 inside a wide tube", svr.SupportVectors())
 	}
-	if got := svr.Predict([]float64{0.3}); got != 0 {
-		t.Fatalf("Predict = %v, want 0", got)
+	for _, x := range []float64{-1, 0.3, 2} {
+		if got := svr.Predict([]float64{x}); math.Abs(got-0.15) > 1e-12 {
+			t.Fatalf("Predict(%v) = %v, want the constant 0.15", x, got)
+		}
 	}
 }
 

@@ -112,8 +112,8 @@ func TestSearchSVRTieGoesToEarliestCell(t *testing.T) {
 	})
 }
 
-// negKernel makes every bias-augmented diagonal entry negative, so each
-// fit returns an error instead of panicking.
+// negKernel makes every diagonal entry of the Gram matrix negative, so
+// each fit returns an error instead of panicking.
 type negKernel struct{}
 
 func (negKernel) Eval(a, b []float64) float64 { return -2 }
