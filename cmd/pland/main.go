@@ -85,10 +85,10 @@ func registerTrace(arg string) error {
 	// a user retyping a builtin name on the command line is a usage
 	// error, so pre-check it here. Startup is single-threaded, so the
 	// check-then-register pair cannot race.
-	if _, err := cloud.LookupLifetimeModel(name); err == nil {
+	if _, err := cloud.LifetimeModels.Lookup(name); err == nil {
 		return fmt.Errorf("-trace name %q is already a registered lifetime model", name)
 	}
-	cloud.RegisterLifetimeModel(m)
+	cloud.LifetimeModels.Register(m)
 	fmt.Fprintf(os.Stderr, "pland: lifetime model %q replays %d records over %d cells: %s\n",
 		name, len(recs), len(m.CoveredCells()), strings.Join(m.CoveredCells(), ", "))
 	return nil

@@ -48,7 +48,7 @@ func NewEmpiricalModel(name string, samples []LifetimeSample) (*EmpiricalModel, 
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("cloud: empirical lifetime model %q has no samples", name)
 	}
-	m := &EmpiricalModel{name: name, fallback: DefaultLifetimeModel(), cells: make(map[cell][]LifetimeSample)}
+	m := &EmpiricalModel{name: name, fallback: LifetimeModels.Default(), cells: make(map[cell][]LifetimeSample)}
 	for i, s := range samples {
 		if !s.Region.Valid() || !s.GPU.Valid() {
 			return nil, fmt.Errorf("cloud: sample %d names invalid placement (%v, %v)", i, s.Region, s.GPU)

@@ -1,9 +1,7 @@
 package cloud
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -11,48 +9,27 @@ import (
 	"repro/internal/stats"
 )
 
+// TestLifetimeModelRegistry checks the builtins are registered under
+// their own names; the registry contract itself is
+// registry.TestRegistryContract.
 func TestLifetimeModelRegistry(t *testing.T) {
-	names := LifetimeModelNames()
-	if len(names) < 3 || names[0] != DefaultLifetimeModelName {
-		t.Fatalf("LifetimeModelNames() = %v, want default first with ≥3 builtins", names)
-	}
-	for _, name := range []string{"", "table5", "weibull", "diurnal"} {
-		m, err := LookupLifetimeModel(name)
-		if err != nil {
-			t.Fatalf("LookupLifetimeModel(%q): %v", name, err)
-		}
-		want := name
-		if want == "" {
-			want = DefaultLifetimeModelName
-		}
-		if m.Name() != want {
-			t.Fatalf("LookupLifetimeModel(%q).Name() = %q", name, m.Name())
+	for _, name := range []string{"table5", "weibull", "diurnal", "norevoke", "calm-weibull"} {
+		m, err := LifetimeModels.Lookup(name)
+		if err != nil || m.Name() != name {
+			t.Fatalf("LifetimeModels.Lookup(%q) = %v, %v", name, m, err)
 		}
 	}
-	if _, err := LookupLifetimeModel("no-such-model"); err == nil ||
-		!strings.Contains(err.Error(), "available") {
-		t.Fatalf("unknown model lookup = %v, want an error listing the registry", err)
+	if LifetimeModels.Default().Name() != DefaultLifetimeModelName {
+		t.Fatalf("default lifetime model is %q", LifetimeModels.Default().Name())
 	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("re-registering a builtin name must panic")
-			}
-			if msg := fmt.Sprint(r); !strings.Contains(msg, DefaultLifetimeModelName) {
-				t.Fatalf("duplicate-registration panic %q does not name the offender %q", msg, DefaultLifetimeModelName)
-			}
-		}()
-		RegisterLifetimeModel(tableVModel{})
-	}()
 }
 
 // TestLifetimeModelInvariants holds every registered builtin to the
 // contract the provider relies on: lifetimes in (0, cap], survivors
 // exactly at the cap, revocations strictly below it.
 func TestLifetimeModelInvariants(t *testing.T) {
-	for _, name := range LifetimeModelNames() {
-		m, err := LookupLifetimeModel(name)
+	for _, name := range LifetimeModels.Names() {
+		m, err := LifetimeModels.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +58,7 @@ func TestLifetimeModelInvariants(t *testing.T) {
 // whatever they do to the lifetime shape.
 func TestParametricModelsKeepTableVFractions(t *testing.T) {
 	for _, name := range []string{"weibull", "diurnal"} {
-		m, err := LookupLifetimeModel(name)
+		m, err := LifetimeModels.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +87,7 @@ func TestParametricModelsKeepTableVFractions(t *testing.T) {
 // TestWeibullMatchesConditionalMedian: the second fitted quantile — the
 // median lifetime given revocation — tracks the default calibration.
 func TestWeibullMatchesConditionalMedian(t *testing.T) {
-	m, err := LookupLifetimeModel("weibull")
+	m, err := LifetimeModels.Lookup("weibull")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +118,7 @@ func TestWeibullMatchesConditionalMedian(t *testing.T) {
 // acceptance-rejection sampler tolerates tiny leakage into Fig. 9's
 // V100 quiet window, the diurnal hazard is exactly zero there.
 func TestDiurnalQuietHoursAreExact(t *testing.T) {
-	m, err := LookupLifetimeModel("diurnal")
+	m, err := LifetimeModels.Lookup("diurnal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +223,7 @@ func TestProviderHonorsLifetimeModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := &sim.Kernel{}
-	p := NewProviderWithLifetime(k, stats.NewRng(3), m)
+	p := NewProviderFor(k, stats.NewRng(3), nil, m)
 	if p.Lifetime() != m {
 		t.Fatal("provider does not expose its lifetime model")
 	}
@@ -266,7 +243,7 @@ func TestProviderHonorsLifetimeModel(t *testing.T) {
 }
 
 // TestDefaultProviderUnchangedByRefactor: NewProvider and an explicit
-// table5 NewProviderWithLifetime must consume randomness identically —
+// table5 NewProviderFor must consume randomness identically —
 // the property that keeps every golden snapshot stable.
 func TestDefaultProviderUnchangedByRefactor(t *testing.T) {
 	run := func(mk func(*sim.Kernel, *stats.Rng) *Provider) []float64 {
@@ -284,7 +261,7 @@ func TestDefaultProviderUnchangedByRefactor(t *testing.T) {
 	}
 	a := run(NewProvider)
 	b := run(func(k *sim.Kernel, rng *stats.Rng) *Provider {
-		return NewProviderWithLifetime(k, rng, DefaultLifetimeModel())
+		return NewProviderFor(k, rng, nil, LifetimeModels.Default())
 	})
 	for i := range a {
 		if a[i] != b[i] {

@@ -52,16 +52,10 @@ type Provider struct {
 // NewProvider returns a provider bound to the kernel, drawing all
 // randomness from rng (which it forks, so the caller's stream is
 // unaffected by provider internals). Transient lifetimes follow the
-// default Table V calibration; use NewProviderWithLifetime to simulate
-// a different revocation regime.
+// default Table V calibration; use NewProviderFor to simulate another
+// market or revocation regime.
 func NewProvider(k *sim.Kernel, rng *stats.Rng) *Provider {
-	return NewProviderWithLifetime(k, rng, nil)
-}
-
-// NewProviderWithLifetime is NewProvider under an explicit revocation
-// regime; a nil model means the default.
-func NewProviderWithLifetime(k *sim.Kernel, rng *stats.Rng, m LifetimeModel) *Provider {
-	return NewProviderFor(k, rng, nil, m)
+	return NewProviderFor(k, rng, nil, nil)
 }
 
 // NewProviderFor instantiates one market: a provider whose catalog,
@@ -73,13 +67,13 @@ func NewProviderWithLifetime(k *sim.Kernel, rng *stats.Rng, m LifetimeModel) *Pr
 // the goldens rest on.
 func NewProviderFor(k *sim.Kernel, rng *stats.Rng, spec *ProviderSpec, m LifetimeModel) *Provider {
 	if spec == nil {
-		spec = DefaultProvider()
+		spec = Providers.Default()
 	}
 	if m == nil {
 		var err error
-		m, err = LookupLifetimeModel(spec.LifetimeModel)
+		m, err = LifetimeModels.Lookup(spec.LifetimeName(""))
 		if err != nil {
-			panic(err) // RegisterProvider validated the name; unreachable
+			panic(err) // Providers' check validated the name; unreachable
 		}
 	}
 	return &Provider{

@@ -1,27 +1,25 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/stats"
 )
 
 // ProviderSpec bundles one market's calibration: which (region, GPU)
 // cells it sells, what they cost, how instances start, which lifetime
 // regime transient servers default to, and (optionally) per-cell
-// transient capacity. It is the third first-come registry of the repo,
-// after lifetime models and fleet schedulers: what used to be
-// package-level GCE constants becomes one registered world among
-// several, so experiments can ask "where should this train?" across
-// markets instead of only "how should this train?" within one.
+// transient capacity. What used to be package-level GCE constants is
+// one registered world among several (see Providers), so experiments
+// can ask "where should this train?" across markets instead of only
+// "how should this train?" within one.
 //
 // Specs are immutable after registration: the name appears in scenario
 // and fleet keys, so equal names must mean equal market behavior for
-// the life of the process (the same contract the other registries
-// document).
+// the life of the process.
 type ProviderSpec struct {
 	// Name is the registry identity, e.g. "gce"; it appears in
 	// scenario keys as prov=<name>.
@@ -67,75 +65,43 @@ func (s *ProviderSpec) OfferedRegions(g model.GPU) []Region {
 // scenario selects otherwise: the paper's GCE calibration.
 const DefaultProviderName = "gce"
 
-// providerRegistry maps provider names to specs. Builtins register at
-// init; reads vastly outnumber writes, hence the RWMutex.
-var (
-	providerMu       sync.RWMutex
-	providerRegistry = map[string]*ProviderSpec{}
-)
+// Providers is the provider-market registry; builtins register at
+// init.
+var Providers = registry.New("cloud", "provider", DefaultProviderName,
+	func(s *ProviderSpec) string { return s.Name }, (*ProviderSpec).check)
 
-// RegisterProvider adds a market to the registry. Names are
-// first-come-first-served and conflicts are programmer errors, so a
-// duplicate (or empty) name panics with the offending name rather than
-// returning an error a startup path could ignore: scenario keys embed
-// the name, and the planner cache depends on a name meaning one market
-// for the life of the process. The spec's default lifetime model must
-// already be registered.
-func RegisterProvider(s *ProviderSpec) {
-	if s.Name == "" {
-		panic("cloud: provider spec has an empty name")
-	}
+// check is a spec's registration contract: the market's behavior is
+// complete, and its default lifetime model is already registered.
+func (s *ProviderSpec) check() error {
 	if s.Offers == nil || s.GPUHourly == nil || s.Startup == nil {
-		panic(fmt.Sprintf("cloud: provider %q spec is missing Offers/GPUHourly/Startup", s.Name))
+		return errors.New("spec is missing Offers/GPUHourly/Startup")
 	}
-	if _, err := LookupLifetimeModel(s.LifetimeModel); err != nil {
-		panic(fmt.Sprintf("cloud: provider %q default lifetime model: %v", s.Name, err))
+	if _, err := LifetimeModels.Lookup(s.LifetimeModel); err != nil {
+		return fmt.Errorf("default lifetime model: %w", err)
 	}
-	providerMu.Lock()
-	defer providerMu.Unlock()
-	if _, dup := providerRegistry[s.Name]; dup {
-		panic(fmt.Sprintf("cloud: provider %q already registered", s.Name))
-	}
-	providerRegistry[s.Name] = s
+	return nil
 }
 
-// LookupProvider resolves a provider name; the empty string means the
-// default. Unknown names report the available ones.
-func LookupProvider(name string) (*ProviderSpec, error) {
+// LifetimeName is the one place an empty revocation-model name means
+// the market's default regime: an explicit name wins, otherwise the
+// spec's own LifetimeModel.
+func (s *ProviderSpec) LifetimeName(name string) string {
 	if name == "" {
-		name = DefaultProviderName
+		return s.LifetimeModel
 	}
-	providerMu.RLock()
-	s, ok := providerRegistry[name]
-	providerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cloud: unknown provider %q (available: %v)", name, ProviderNames())
-	}
-	return s, nil
+	return name
 }
 
-// DefaultProvider returns the GCE spec.
-func DefaultProvider() *ProviderSpec {
-	s, err := LookupProvider(DefaultProviderName)
+// RevModelName resolves the revocation model a run on the named
+// market uses (see LifetimeName), in the canonical form scenario and
+// fleet keys embed. An unknown market resolves as the default one, so
+// a key still renders for a query that fails validation later.
+func RevModelName(provider, name string) string {
+	spec, err := Providers.Lookup(provider)
 	if err != nil {
-		panic(err) // registered at init; unreachable
+		spec = Providers.Default()
 	}
-	return s
-}
-
-// ProviderNames lists every registered market, sorted, with the
-// default first — the order /v1/catalog reports.
-func ProviderNames() []string {
-	providerMu.RLock()
-	names := make([]string, 0, len(providerRegistry))
-	for name := range providerRegistry {
-		if name != DefaultProviderName {
-			names = append(names, name)
-		}
-	}
-	providerMu.RUnlock()
-	sort.Strings(names)
-	return append([]string{DefaultProviderName}, names...)
+	return spec.LifetimeName(name)
 }
 
 // --- Built-in worlds -------------------------------------------------
@@ -173,7 +139,7 @@ const (
 )
 
 func init() {
-	RegisterProvider(&ProviderSpec{
+	Providers.Register(&ProviderSpec{
 		Name:          DefaultProviderName,
 		Description:   "Google Cloud calibration from the paper: Table V revocations, Fig. 6/7 startup, 2019 us-central1 prices",
 		LifetimeModel: DefaultLifetimeModelName,
@@ -184,7 +150,7 @@ func init() {
 		PSHourly: model.ParameterServerHourly,
 		Startup:  sampleStartup,
 	})
-	RegisterProvider(&ProviderSpec{
+	Providers.Register(&ProviderSpec{
 		Name:          "aws",
 		Description:   "synthetic aws-like market: EC2-shaped prices with a shallower spot discount, calmer revocation climate (calm-weibull)",
 		LifetimeModel: "calm-weibull",
@@ -203,7 +169,7 @@ func init() {
 			return b
 		},
 	})
-	RegisterProvider(&ProviderSpec{
+	Providers.Register(&ProviderSpec{
 		Name:          "serverless-cpu",
 		Description:   "serverless baseline per Barrak et al.: K80-equivalent CPU function bundles, per-invocation pricing, no revocation",
 		LifetimeModel: "norevoke",

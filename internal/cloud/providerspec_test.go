@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,52 +10,45 @@ import (
 	"repro/internal/stats"
 )
 
+// TestProviderRegistry checks the builtin markets are registered,
+// each with a registered default regime; the registry contract itself
+// is registry.TestRegistryContract.
 func TestProviderRegistry(t *testing.T) {
-	names := ProviderNames()
-	if len(names) != 3 || names[0] != DefaultProviderName {
-		t.Fatalf("ProviderNames() = %v, want default first with 3 builtins", names)
+	if got, want := Providers.Names(), []string{"gce", "aws", "serverless-cpu"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Providers.Names() = %v, want %v", got, want)
 	}
-	for _, name := range []string{"", "gce", "aws", "serverless-cpu"} {
-		s, err := LookupProvider(name)
-		if err != nil {
-			t.Fatalf("LookupProvider(%q): %v", name, err)
+	for _, name := range Providers.Names() {
+		s, err := Providers.Lookup(name)
+		if err != nil || s.Name != name {
+			t.Fatalf("Providers.Lookup(%q) = %v, %v", name, s, err)
 		}
-		want := name
-		if want == "" {
-			want = DefaultProviderName
-		}
-		if s.Name != want {
-			t.Fatalf("LookupProvider(%q).Name = %q", name, s.Name)
-		}
-		if _, err := LookupLifetimeModel(s.LifetimeModel); err != nil {
+		if _, err := LifetimeModels.Lookup(s.LifetimeModel); err != nil {
 			t.Fatalf("provider %q default lifetime model: %v", s.Name, err)
 		}
 	}
-	if _, err := LookupProvider("no-such-market"); err == nil ||
-		!strings.Contains(err.Error(), "available") {
-		t.Fatalf("unknown provider lookup = %v, want an error listing the registry", err)
-	}
-	if DefaultProvider().Name != DefaultProviderName {
-		t.Fatalf("DefaultProvider().Name = %q", DefaultProvider().Name)
-	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("re-registering a builtin provider name must panic")
-			}
-			if msg := fmt.Sprint(r); !strings.Contains(msg, DefaultProviderName) {
-				t.Fatalf("duplicate-registration panic %q does not name the offender %q", msg, DefaultProviderName)
-			}
+}
+
+// TestProviderSpecCheck holds registration to the spec contract: a
+// market missing its behavior, or defaulting to an unregistered
+// regime, panics naming the market.
+func TestProviderSpecCheck(t *testing.T) {
+	for _, spec := range []*ProviderSpec{
+		{Name: "no-startup", Offers: Offered, GPUHourly: func(model.GPU, Tier) float64 { return 1 }},
+		{Name: "no-such-regime", LifetimeModel: "no-such-model", Offers: Offered,
+			GPUHourly: func(model.GPU, Tier) float64 { return 1 }, Startup: sampleStartup},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("%q", spec.Name)) {
+					t.Errorf("registering %q: panic %q does not name it", spec.Name, msg)
+				}
+			}()
+			Providers.Register(spec)
 		}()
-		RegisterProvider(&ProviderSpec{
-			Name:          DefaultProviderName,
-			LifetimeModel: DefaultLifetimeModelName,
-			Offers:        Offered,
-			GPUHourly:     func(g model.GPU, t Tier) float64 { return 1 },
-			Startup:       sampleStartup,
-		})
-	}()
+		if _, err := Providers.Lookup(spec.Name); err == nil {
+			t.Errorf("%q registered despite failing the check", spec.Name)
+		}
+	}
 }
 
 // TestDefaultProviderMatchesLegacyCalibration pins the gce spec to the
@@ -63,7 +57,7 @@ func TestProviderRegistry(t *testing.T) {
 // startup draw, or the all.golden snapshot (and every cached planner
 // line) silently measures a different cloud.
 func TestDefaultProviderMatchesLegacyCalibration(t *testing.T) {
-	s := DefaultProvider()
+	s := Providers.Default()
 	for _, g := range model.AllGPUs() {
 		for _, tier := range []Tier{OnDemand, Transient} {
 			if got, want := s.GPUHourly(g, tier), model.HourlyPrice(g, tier == Transient); got != want {
@@ -95,7 +89,7 @@ func TestDefaultProviderMatchesLegacyCalibration(t *testing.T) {
 // spot discount, and the serverless market sells only the K80-class
 // function bundle — everywhere, at one tier-independent price.
 func TestBuiltinProviderSpecs(t *testing.T) {
-	aws, err := LookupProvider("aws")
+	aws, err := Providers.Lookup("aws")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +113,7 @@ func TestBuiltinProviderSpecs(t *testing.T) {
 		t.Fatalf("aws startup = %+v, want gce + %ds provisioning = %+v", got, awsStartupShiftSeconds, want)
 	}
 
-	sl, err := LookupProvider("serverless-cpu")
+	sl, err := Providers.Lookup("serverless-cpu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +139,7 @@ func TestBuiltinProviderSpecs(t *testing.T) {
 // TestNorevokeNeverRevokes holds the serverless market's lifetime
 // model to its name across many draws.
 func TestNorevokeNeverRevokes(t *testing.T) {
-	m, err := LookupLifetimeModel("norevoke")
+	m, err := LifetimeModels.Lookup("norevoke")
 	if err != nil {
 		t.Fatal(err)
 	}

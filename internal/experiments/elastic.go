@@ -118,7 +118,7 @@ func planElastic(seed int64) *campaign.Plan {
 			// membership policy — the fleet/regret experiments' fairness
 			// discipline.
 			cellSeed := campaign.Derive(seed, uint64(rep), "elastic/"+regime.label)
-			for _, policy := range manager.ElasticPolicies() {
+			for _, policy := range manager.ElasticPolicies.Names() {
 				regime, policy, rep := regime, policy, rep
 				sc := Scenario{
 					Model:    model.ShakeShakeBig(),
@@ -202,8 +202,8 @@ func (r *ElasticResult) meanScores() (order []string, rows map[string]*elasticAg
 	return order, rows
 }
 
-// RegimesWhereElasticBeats lists the regimes where the "elastic"
-// policy's mean score is strictly below "static"'s — the experiment's
+// RegimesWhereElasticBeats lists the regimes where the elastic
+// policy's mean score is strictly below static's — the experiment's
 // headline, pinned by a test at the golden seed. The diurnal-prior
 // forecast matches table5 and diurnal but not weibull, so the expected
 // answer is a strict subset of the regimes, not all of them.

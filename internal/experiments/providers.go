@@ -57,7 +57,7 @@ func unionCapacity(n int, markets []string) cloud.Capacity {
 	}
 	cap := cloud.Capacity{}
 	for _, name := range markets {
-		spec, err := cloud.LookupProvider(name)
+		spec, err := cloud.Providers.Lookup(name)
 		if err != nil {
 			continue // validated at registration; unreachable for builtins
 		}

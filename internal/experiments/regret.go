@@ -116,7 +116,7 @@ type regretEntry struct {
 
 func planRegret(seed int64) *campaign.Plan {
 	p := newPlan(seed)
-	schedulers := fleet.SchedulerNames()
+	schedulers := fleet.Schedulers.Names()
 	for _, regime := range fleetRegimes() {
 		for _, sched := range schedulers {
 			regime, sched := regime, sched

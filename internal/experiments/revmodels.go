@@ -70,7 +70,7 @@ func planRevModels(seed int64) *campaign.Plan {
 	}
 	var entrants []entrant
 	for _, name := range []string{"table5", "weibull", "diurnal"} {
-		lm, err := cloud.LookupLifetimeModel(name)
+		lm, err := cloud.LifetimeModels.Lookup(name)
 		if err != nil {
 			panic(err) // builtins; unreachable
 		}

@@ -25,12 +25,12 @@ type SweepSpec struct {
 	GPUs    []model.GPU
 	Regions []cloud.Region
 	Tiers   []cloud.Tier
-	// RevModels lists the revocation/lifetime regimes to sweep (names
-	// registered with cloud.RegisterLifetimeModel); empty means the
-	// default Table V calibration only.
+	// RevModels lists the revocation/lifetime regimes to sweep
+	// (cloud.LifetimeModels names); empty means each provider's default
+	// regime only.
 	RevModels []string
-	// Providers lists the provider worlds to sweep (names registered
-	// with cloud.RegisterProvider); empty means the default (gce) only.
+	// Providers lists the provider worlds to sweep (cloud.Providers
+	// names); empty means the default (gce) only.
 	Providers []string
 	// StepsPerWorker scales the training target with cluster size so
 	// every scenario measures a comparable per-worker workload.
@@ -56,8 +56,8 @@ type Scenario struct {
 	// means Workers × GPU (the homogeneous default every pre-existing
 	// scenario phrases). A non-nil Cluster overrides GPU and Workers.
 	Cluster model.ClusterSpec
-	// Elastic names the manager resize policy ("static", "elastic",
-	// "surge"); empty means static.
+	// Elastic names the manager resize policy (a
+	// manager.ElasticPolicies name); empty means the default, static.
 	Elastic string
 }
 
@@ -71,15 +71,6 @@ func (s Scenario) ClusterSpec() model.ClusterSpec {
 	return model.HomogeneousCluster(s.GPU, s.Workers)
 }
 
-// ElasticName resolves the scenario's elastic policy with the default
-// applied — the canonical form Key embeds.
-func (s Scenario) ElasticName() string {
-	if s.Elastic == "" {
-		return "static"
-	}
-	return s.Elastic
-}
-
 // Label renders the scenario for table rows and unit keys. The
 // revocation model appears only when one was named, so grids over the
 // implicit default read (and key) exactly as before the model axis
@@ -91,7 +82,7 @@ func (s Scenario) Label() string {
 	} else {
 		base = fmt.Sprintf("%d×%v %v %v", s.Workers, s.GPU, s.Region, s.Tier)
 	}
-	if s.Elastic != "" && s.Elastic != "static" {
+	if !manager.ElasticPolicies.IsDefault(s.Elastic) {
 		base += " " + s.Elastic
 	}
 	if s.RevModel != "" {
@@ -101,29 +92,6 @@ func (s Scenario) Label() string {
 		base += " prov=" + s.Provider
 	}
 	return base
-}
-
-// ProviderName resolves the scenario's provider name with the default
-// applied — the canonical form Key embeds.
-func (s Scenario) ProviderName() string {
-	if s.Provider == "" {
-		return cloud.DefaultProviderName
-	}
-	return s.Provider
-}
-
-// RevModelName resolves the scenario's revocation model name with the
-// default applied — the canonical form Key embeds: an explicit name,
-// or the scenario's provider's default regime (Table V for the
-// default provider).
-func (s Scenario) RevModelName() string {
-	if s.RevModel != "" {
-		return s.RevModel
-	}
-	if spec, err := cloud.LookupProvider(s.Provider); err == nil {
-		return spec.LifetimeModel
-	}
-	return cloud.DefaultLifetimeModelName
 }
 
 // Key is the scenario's canonical identity: a stable, unambiguous
@@ -144,7 +112,8 @@ func (s Scenario) Key() string {
 		workers = cluster.TotalWorkers()
 	}
 	return fmt.Sprintf("model=%s|gpu=%s|region=%s|tier=%s|workers=%d|cluster=%s|elastic=%s|rev=%s|prov=%s",
-		s.Model.Name, gpu, s.Region, s.Tier, workers, cluster, s.ElasticName(), s.RevModelName(), s.ProviderName())
+		s.Model.Name, gpu, s.Region, s.Tier, workers, cluster, manager.ElasticPolicies.Resolve(s.Elastic),
+		cloud.RevModelName(s.Provider, s.RevModel), cloud.Providers.Resolve(s.Provider))
 }
 
 // ScenarioKey canonically identifies one measured scenario run: the
@@ -172,7 +141,7 @@ func (s SweepSpec) Scenarios() []Scenario {
 	}
 	var out []Scenario
 	for _, prov := range provs {
-		spec, specErr := cloud.LookupProvider(prov)
+		spec, specErr := cloud.Providers.Lookup(prov)
 		for _, rev := range revs {
 			for _, g := range s.GPUs {
 				for _, r := range s.Regions {
@@ -230,15 +199,7 @@ type SessionOptions struct {
 // by name (an unnamed revocation model means the provider's default
 // regime).
 func runScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
-	lmName := sc.RevModel
-	if lmName == "" {
-		spec, err := cloud.LookupProvider(sc.Provider)
-		if err != nil {
-			return ScenarioOutcome{}, err
-		}
-		lmName = spec.LifetimeModel
-	}
-	lm, err := cloud.LookupLifetimeModel(lmName)
+	lm, err := cloud.LifetimeModels.Lookup(cloud.RevModelName(sc.Provider, sc.RevModel))
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
@@ -249,7 +210,7 @@ func runScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) 
 // the path the revmodels experiment uses for models it builds itself
 // (e.g. a trace replay) without going through the registry.
 func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
-	spec, err := cloud.LookupProvider(sc.Provider)
+	spec, err := cloud.Providers.Lookup(sc.Provider)
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}
@@ -267,7 +228,7 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 	// Homogeneous static scenarios keep the asynchronous path (and
 	// their historical byte-exact results) untouched.
 	var batch *train.BatchPolicy
-	if cluster.Heterogeneous() || sc.ElasticName() != "static" {
+	if cluster.Heterogeneous() || !manager.ElasticPolicies.IsDefault(sc.Elastic) {
 		batch = &train.BatchPolicy{
 			GlobalBatch: model.ReferenceBatch * cluster.TotalWorkers(),
 			Dynamic:     true,

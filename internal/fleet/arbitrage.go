@@ -36,7 +36,7 @@ func (v singleMarketView) MarketSpec(market string) *cloud.ProviderSpec {
 	if market != cloud.DefaultProviderName {
 		return nil
 	}
-	return cloud.DefaultProvider()
+	return cloud.Providers.Default()
 }
 func (v singleMarketView) MarketAvailable(market string, r cloud.Region, g model.GPU) int {
 	return v.Available(r, g)

@@ -35,9 +35,10 @@ type Config struct {
 	// means infinite, reducing the fleet to independent jobs.
 	Capacity cloud.Capacity
 	// Elastic names the manager resize policy every job session runs
-	// under ("static", "elastic", "surge"); empty means static. Elastic
-	// sessions consult the fleet's own revocation history (scaled onto
-	// the diurnal prior) instead of the prior alone.
+	// under (a manager.ElasticPolicies name); empty means the default,
+	// static. Elastic sessions consult the fleet's own revocation
+	// history (scaled onto the diurnal prior) instead of the prior
+	// alone.
 	Elastic string
 	// HorizonHours bounds the simulation (0: a week, matching the
 	// single-scenario cap).
@@ -63,14 +64,14 @@ type marketPlan struct {
 // validate resolves names and fills defaults, returning the resolved
 // scheduler and one market plan per configured provider.
 func (c *Config) validate() (Scheduler, []marketPlan, error) {
-	sched, err := LookupScheduler(c.Scheduler)
+	sched, err := Schedulers.Lookup(c.Scheduler)
 	if err != nil {
 		return nil, nil, err
 	}
 	var markets []marketPlan
 	seen := map[string]bool{}
 	for _, name := range c.providerNames() {
-		spec, err := cloud.LookupProvider(name)
+		spec, err := cloud.Providers.Lookup(name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -80,11 +81,7 @@ func (c *Config) validate() (Scheduler, []marketPlan, error) {
 		seen[spec.Name] = true
 		// An explicit regime applies to every market; otherwise each
 		// market keeps its own default climate.
-		lmName := c.RevModel
-		if lmName == "" {
-			lmName = spec.LifetimeModel
-		}
-		lm, err := cloud.LookupLifetimeModel(lmName)
+		lm, err := cloud.LifetimeModels.Lookup(spec.LifetimeName(c.RevModel))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -93,7 +90,7 @@ func (c *Config) validate() (Scheduler, []marketPlan, error) {
 	if err := c.Workload.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if _, err := manager.ElasticPolicyByName(c.Elastic); err != nil {
+	if _, err := manager.ElasticPolicies.Lookup(c.Elastic); err != nil {
 		return nil, nil, err
 	}
 	if c.HorizonHours < 0 {
@@ -122,43 +119,9 @@ func (c Config) providerNames() []string {
 	}
 	out := make([]string, len(c.Providers))
 	for i, name := range c.Providers {
-		if name == "" {
-			name = cloud.DefaultProviderName
-		}
-		out[i] = name
+		out[i] = cloud.Providers.Resolve(name)
 	}
 	return out
-}
-
-// schedulerName resolves the config's scheduler with the default
-// applied — the canonical form Key embeds.
-func (c Config) schedulerName() string {
-	if c.Scheduler == "" {
-		return DefaultSchedulerName
-	}
-	return c.Scheduler
-}
-
-// elasticName resolves the config's elastic policy with the default
-// applied — the canonical form Key embeds.
-func (c Config) elasticName() string {
-	if c.Elastic == "" {
-		return "static"
-	}
-	return c.Elastic
-}
-
-// revModelName resolves the config's revocation model with the
-// default applied: an explicit name, or the first market's default
-// regime (the Table V default for the default market).
-func (c Config) revModelName() string {
-	if c.RevModel != "" {
-		return c.RevModel
-	}
-	if spec, err := cloud.LookupProvider(c.providerNames()[0]); err == nil {
-		return spec.LifetimeModel
-	}
-	return cloud.DefaultLifetimeModelName
 }
 
 // Key is the fleet config's canonical identity: a stable field=value
@@ -181,10 +144,11 @@ func (c Config) Key() string {
 	if horizon == 0 {
 		horizon = DefaultHorizonHours
 	}
+	markets := c.providerNames()
 	return fmt.Sprintf("fleet|sched=%s|prov=%s|rev=%s|arrival=%s|rate=%g|jobs=%d|spw=%d|ic=%d|cap=%s|elastic=%s|horizon=%g|wseed=%d",
-		c.schedulerName(), strings.Join(c.providerNames(), "+"), c.revModelName(), arrival,
+		Schedulers.Resolve(c.Scheduler), strings.Join(markets, "+"), cloud.RevModelName(markets[0], c.RevModel), arrival,
 		w.RatePerHour, w.Jobs, w.StepsPerWorker, ic,
-		c.Capacity.Canonical(), c.elasticName(), horizon, c.WorkloadSeed)
+		c.Capacity.Canonical(), manager.ElasticPolicies.Resolve(c.Elastic), horizon, c.WorkloadSeed)
 }
 
 // JobResult is one job's outcome.
@@ -522,8 +486,8 @@ func (f *fleetSim) start(job *Job, pl Placement) {
 		Seed:               campaign.Derive(f.seed, uint64(job.Spec.ID), "fleet/job"),
 		Trace:              f.trace.Scoped(fmt.Sprintf("job%d", job.Spec.ID)),
 	}
-	if name := f.cfg.elasticName(); name != "static" {
-		mcfg.Elastic = name
+	if !manager.ElasticPolicies.IsDefault(f.cfg.Elastic) {
+		mcfg.Elastic = f.cfg.Elastic
 		mcfg.Risk = historyRisk{hist: f.history, market: mk.name}
 	}
 	sess, err := manager.NewSession(mk.provider, mcfg)
@@ -604,9 +568,9 @@ func (f *fleetSim) observe(job *Job) {
 func (f *fleetSim) result() *Result {
 	horizon := f.cfg.HorizonHours
 	res := &Result{
-		Scheduler: f.cfg.schedulerName(),
+		Scheduler: f.sched.Name(),
 		Providers: f.cfg.providerNames(),
-		RevModel:  f.cfg.revModelName(),
+		RevModel:  f.markets[0].provider.Lifetime().Name(),
 		Capacity:  f.cfg.Capacity.Canonical(),
 	}
 	var waitSum, makespan float64

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,37 +80,18 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 }
 
+// TestSchedulerRegistry checks the builtin policies are registered
+// under their own names; the registry contract itself is
+// registry.TestRegistryContract.
 func TestSchedulerRegistry(t *testing.T) {
-	names := SchedulerNames()
-	if len(names) < 3 {
-		t.Fatalf("want at least 3 registered schedulers, have %v", names)
-	}
-	if names[0] != DefaultSchedulerName {
-		t.Fatalf("default %q must list first, got %v", DefaultSchedulerName, names)
-	}
-	for _, want := range []string{"fifo", "cost-greedy", "deadline-aware"} {
-		if _, err := LookupScheduler(want); err != nil {
-			t.Errorf("builtin %q missing: %v", want, err)
+	for _, want := range []string{"fifo", "cost-greedy", "deadline-aware", "arbitrage", "predictive"} {
+		if s, err := Schedulers.Lookup(want); err != nil || s.Name() != want {
+			t.Errorf("builtin %q: %v, %v", want, s, err)
 		}
 	}
-	if s, err := LookupScheduler(""); err != nil || s.Name() != DefaultSchedulerName {
-		t.Fatalf("empty name should resolve the default, got %v, %v", s, err)
+	if Schedulers.Default().Name() != DefaultSchedulerName {
+		t.Fatalf("default scheduler is %q", Schedulers.Default().Name())
 	}
-	if _, err := LookupScheduler("round-robin-3000"); err == nil {
-		t.Fatal("unknown scheduler should not resolve")
-	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("re-registering a builtin name must panic (first come wins)")
-			}
-			if msg := fmt.Sprint(r); !strings.Contains(msg, `"fifo"`) {
-				t.Fatalf("duplicate-registration panic %q does not name the offender", msg)
-			}
-		}()
-		RegisterScheduler(fifoScheduler{})
-	}()
 }
 
 func TestRunIsDeterministic(t *testing.T) {
@@ -151,7 +131,7 @@ func TestPoolCapacityNeverExceeded(t *testing.T) {
 		t.Skip("multi-scheduler fleet campaign in -short mode")
 	}
 	cap := tightCapacity(2)
-	for _, sched := range SchedulerNames() {
+	for _, sched := range Schedulers.Names() {
 		for _, seed := range []int64{1, 2, 3} {
 			cfg := Config{
 				Workload:     testWorkload(ArrivalBursty),
@@ -184,7 +164,7 @@ func TestFifoHeadOfLineBlocks(t *testing.T) {
 	pool := fakePool{avail: map[cloud.PoolKey]int{cell: 2}}
 	big := &Job{Spec: JobSpec{ID: 0, Model: model.ResNet15(), GPU: model.K80, Workers: 4, Steps: 100}}
 	small := &Job{Spec: JobSpec{ID: 1, Model: model.ResNet15(), GPU: model.K80, Workers: 1, Steps: 100}}
-	s, err := LookupScheduler("fifo")
+	s, err := Schedulers.Lookup("fifo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +197,7 @@ func (f fakePool) NowHours() float64 { return f.now }
 // transient room anywhere and the deadline closing in, the most urgent
 // job starts on-demand instead of waiting forever.
 func TestDeadlineAwareFallsBackToOnDemand(t *testing.T) {
-	s, err := LookupScheduler("deadline-aware")
+	s, err := Schedulers.Lookup("deadline-aware")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +357,7 @@ func (n narrowPool) Offers(r cloud.Region, g model.GPU) bool {
 // though Pick's on-demand fallback skips exactly those jobs — the
 // fleet would arm a re-check that provably changes nothing.
 func TestDeadlineWakeSkipsUnplaceableJobs(t *testing.T) {
-	s, err := LookupScheduler("deadline-aware")
+	s, err := Schedulers.Lookup("deadline-aware")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestPredictiveRunIsDeterministic(t *testing.T) {
 // a full pool holds the job until its predicted last responsible
 // moment, then buys on-demand.
 func TestPredictivePickPlacesAndEscapes(t *testing.T) {
-	s, err := LookupScheduler("predictive")
+	s, err := Schedulers.Lookup("predictive")
 	if err != nil {
 		t.Fatal(err)
 	}

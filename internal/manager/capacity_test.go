@@ -36,7 +36,7 @@ func (m *firstVictimModel) SampleLifetime(*stats.Rng, cloud.Region, model.GPU, f
 func TestReplacementRetriesWhenPoolIsFull(t *testing.T) {
 	cell := cloud.PoolKey{Region: cloud.USCentral1, GPU: model.K80}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(3), &firstVictimModel{after: 1800})
+	p := cloud.NewProviderFor(k, stats.NewRng(3), nil, &firstVictimModel{after: 1800})
 	p.SetTransientCapacity(cloud.Capacity{cell: 1})
 
 	// The rival grabs the slot the instant the victim's revocation

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 // This file is the controller's elastic-resize layer: a session can
@@ -36,7 +37,7 @@ func (DiurnalRisk) RevocationRisk(r cloud.Region, g model.GPU, atHours float64) 
 }
 
 // ElasticPolicy parameterizes the resize loop. The zero value (and the
-// registered "static" policy) disables it.
+// registry's default policy, static) disables it.
 type ElasticPolicy struct {
 	Name string
 	// CheckSeconds is the risk-evaluation cadence. The loop draws no
@@ -65,49 +66,39 @@ type ElasticPolicy struct {
 // Enabled reports whether the policy actually resizes.
 func (p ElasticPolicy) Enabled() bool { return p.CheckSeconds > 0 }
 
-// builtinElasticPolicies is the policy registry, in catalog order.
-var builtinElasticPolicies = []ElasticPolicy{
-	{Name: "static"},
-	{
-		Name:            "elastic",
-		CheckSeconds:    300,
-		LookaheadHours:  1,
-		ShrinkAbove:     1.6,
-		GrowBelow:       1.0,
-		MinShrinkFactor: 0.5,
-		MaxGrowFactor:   1.0,
-	},
-	{
-		Name:            "surge",
-		CheckSeconds:    300,
-		LookaheadHours:  1,
-		ShrinkAbove:     1.6,
-		GrowBelow:       1.0,
-		MinShrinkFactor: 0.5,
-		MaxGrowFactor:   1.5,
-	},
-}
+// defaultElasticPolicy holds the launch shape and only replaces
+// revocations: the zero ElasticPolicy under a name.
+const defaultElasticPolicy = "static"
 
-// ElasticPolicies lists the registered policy names in catalog order.
-func ElasticPolicies() []string {
-	out := make([]string, len(builtinElasticPolicies))
-	for i, p := range builtinElasticPolicies {
-		out[i] = p.Name
-	}
-	return out
-}
+// ElasticPolicies is the resize-policy registry. Its catalog order
+// (default first, then sorted) reads static, elastic, surge.
+var ElasticPolicies = registry.New("manager", "elastic policy", defaultElasticPolicy,
+	func(p ElasticPolicy) string { return p.Name }, nil)
 
-// ElasticPolicyByName resolves a registered policy; "" means "static".
-func ElasticPolicyByName(name string) (ElasticPolicy, error) {
-	if name == "" {
-		name = "static"
+func init() {
+	for _, p := range []ElasticPolicy{
+		{Name: defaultElasticPolicy},
+		{
+			Name:            "elastic",
+			CheckSeconds:    300,
+			LookaheadHours:  1,
+			ShrinkAbove:     1.6,
+			GrowBelow:       1.0,
+			MinShrinkFactor: 0.5,
+			MaxGrowFactor:   1.0,
+		},
+		{
+			Name:            "surge",
+			CheckSeconds:    300,
+			LookaheadHours:  1,
+			ShrinkAbove:     1.6,
+			GrowBelow:       1.0,
+			MinShrinkFactor: 0.5,
+			MaxGrowFactor:   1.5,
+		},
+	} {
+		ElasticPolicies.Register(p)
 	}
-	for _, p := range builtinElasticPolicies {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return ElasticPolicy{}, fmt.Errorf("manager: unknown elastic policy %q (have %v)", name, ElasticPolicies())
 }
 
 // Grows returns how many workers the elastic loop added.

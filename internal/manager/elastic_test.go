@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud"
@@ -39,12 +40,12 @@ func (m *scriptedVictims) SampleLifetime(*stats.Rng, cloud.Region, model.GPU, fl
 
 func calmEnv(t *testing.T, seed int64) (*sim.Kernel, *cloud.Provider) {
 	t.Helper()
-	lm, err := cloud.LookupLifetimeModel("norevoke")
+	lm, err := cloud.LifetimeModels.Lookup("norevoke")
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := &sim.Kernel{}
-	return k, cloud.NewProviderWithLifetime(k, stats.NewRng(seed), lm)
+	return k, cloud.NewProviderFor(k, stats.NewRng(seed), nil, lm)
 }
 
 func elasticConfig(policy string, n int, risk RiskSignal) Config {
@@ -55,25 +56,18 @@ func elasticConfig(policy string, n int, risk RiskSignal) Config {
 	return cfg
 }
 
+// TestElasticPolicyRegistry checks the builtin policies in catalog
+// order, the default disabled and the others enabled; the registry
+// contract itself is registry.TestRegistryContract.
 func TestElasticPolicyRegistry(t *testing.T) {
-	names := ElasticPolicies()
-	want := []string{"static", "elastic", "surge"}
-	if len(names) != len(want) {
-		t.Fatalf("policies = %v, want %v", names, want)
+	if got, want := ElasticPolicies.Names(), []string{"static", "elastic", "surge"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("policies = %v, want %v", got, want)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("policies = %v, want %v", names, want)
-		}
-	}
-	if p, err := ElasticPolicyByName(""); err != nil || p.Enabled() {
-		t.Fatalf("empty name should resolve to the disabled static policy (got %+v, %v)", p, err)
-	}
-	if _, err := ElasticPolicyByName("frantic"); err == nil {
-		t.Fatal("unknown policy accepted")
+	if p := ElasticPolicies.Default(); p.Name != "static" || p.Enabled() {
+		t.Fatalf("default policy %+v should be the disabled static policy", p)
 	}
 	for _, name := range []string{"elastic", "surge"} {
-		p, err := ElasticPolicyByName(name)
+		p, err := ElasticPolicies.Lookup(name)
 		if err != nil || !p.Enabled() {
 			t.Fatalf("%s: %+v, %v", name, p, err)
 		}
@@ -228,7 +222,7 @@ func TestElasticRevocationClampsToFloor(t *testing.T) {
 	// replacement), the second leaves 1 (< floor, replace immediately).
 	lm := &scriptedVictims{afters: []float64{1800, 3600}}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(15), lm)
+	p := cloud.NewProviderFor(k, stats.NewRng(15), nil, lm)
 	cfg := elasticConfig("elastic", 3, constRisk(1.3)) // neutral band: no resizes
 	cfg.Replacement = ReplaceImmediate
 	s, err := NewSession(p, cfg)
@@ -256,7 +250,7 @@ func TestElasticBlockedReplacementDuringResize(t *testing.T) {
 	cell := cloud.PoolKey{Region: cloud.USCentral1, GPU: model.K80}
 	lm := &scriptedVictims{afters: []float64{1800}}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(16), lm)
+	p := cloud.NewProviderFor(k, stats.NewRng(16), nil, lm)
 	p.SetTransientCapacity(cloud.Capacity{cell: 1})
 
 	var rival *cloud.Instance
@@ -309,7 +303,7 @@ func TestElasticRevocationMidRebalance(t *testing.T) {
 	// 3-worker cluster (live 3 ≥ floor 2, so no replacement either).
 	lm := &scriptedVictims{afters: []float64{320}}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(17), lm)
+	p := cloud.NewProviderFor(k, stats.NewRng(17), nil, lm)
 	// The loop looks one hour ahead, so the first check (t = 300 s)
 	// evaluates risk at ≈1.08 h; let only that one shrink.
 	cfg := elasticConfig("elastic", 4, riskFunc(func(_ cloud.Region, _ model.GPU, atHours float64) float64 {

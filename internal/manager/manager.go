@@ -80,8 +80,8 @@ type Config struct {
 	// makes sense when shares rebalance.
 	Batch *train.BatchPolicy
 
-	// Elastic names a registered resize policy ("static", "elastic",
-	// "surge"); empty means static.
+	// Elastic names a registered resize policy (an ElasticPolicies
+	// name); empty means the default, static.
 	Elastic string
 
 	// Risk overrides the revocation-risk signal the elastic loop
@@ -127,7 +127,7 @@ func (c *Config) validate(spec *cloud.ProviderSpec) error {
 	if c.Replacement == ReplaceDelayed && c.DelaySeconds <= 0 {
 		return fmt.Errorf("manager: delayed replacement needs positive DelaySeconds")
 	}
-	elastic, err := ElasticPolicyByName(c.Elastic)
+	elastic, err := ElasticPolicies.Lookup(c.Elastic)
 	if err != nil {
 		return err
 	}
@@ -198,7 +198,7 @@ func NewSession(p *cloud.Provider, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	elastic, err := ElasticPolicyByName(cfg.Elastic)
+	elastic, err := ElasticPolicies.Lookup(cfg.Elastic)
 	if err != nil {
 		return nil, err
 	}

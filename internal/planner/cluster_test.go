@@ -108,6 +108,13 @@ func TestClusterAndElasticQueryValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want BadRequestError", name, err)
 		}
 	}
+	// Like every named field, an unknown policy's 400 lists the registry.
+	q := base
+	bad["unknown elastic policy"](&q)
+	_, err := p.Measure(context.Background(), q)
+	if want := `manager: unknown elastic policy "no-such-policy" (available: [static elastic surge])`; err == nil || err.Error() != want {
+		t.Errorf("unknown elastic policy: got %v, want %q", err, want)
+	}
 }
 
 // TestHTTPCatalogListsElasticPolicies is the wire-level discovery

@@ -44,7 +44,7 @@ type FleetQuery struct {
 	Providers []string `json:"providers,omitempty"`
 	// Elastic names a cluster membership policy (catalog
 	// elastic_policies name) applied to every job session. Empty (or
-	// "static") holds each job's launch shape.
+	// static, the default) holds each job's launch shape.
 	Elastic string `json:"elastic,omitempty"`
 	// HorizonHours bounds the run (0: a week).
 	HorizonHours float64 `json:"horizon_hours,omitempty"`
@@ -63,7 +63,7 @@ type FleetQuery struct {
 
 // config validates the query into a fleet config.
 func (q FleetQuery) config() (fleet.Config, error) {
-	if _, err := fleet.LookupScheduler(q.Scheduler); err != nil {
+	if _, err := fleet.Schedulers.Lookup(q.Scheduler); err != nil {
 		return fleet.Config{}, err
 	}
 	arrival, err := fleet.ParseArrival(q.Arrival)

@@ -223,7 +223,7 @@ func TestHTTPFleetPredictiveIsItsOwnCacheLine(t *testing.T) {
 	// Key-level: the sched= axis separates every registered policy.
 	base := fleet.Config{Workload: fleet.WorkloadSpec{Jobs: 3, RatePerHour: 2, StepsPerWorker: 100}}
 	keys := map[string]string{}
-	for _, sched := range fleet.SchedulerNames() {
+	for _, sched := range fleet.Schedulers.Names() {
 		cfg := base
 		cfg.Scheduler = sched
 		if prev, dup := keys[cfg.Key()]; dup {

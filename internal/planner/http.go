@@ -179,10 +179,10 @@ type Catalog struct {
 func catalog() Catalog {
 	c := Catalog{
 		Experiments:     experiments.IDs(),
-		LifetimeModels:  cloud.LifetimeModelNames(),
-		Providers:       cloud.ProviderNames(),
-		Schedulers:      fleet.SchedulerNames(),
-		ElasticPolicies: manager.ElasticPolicies(),
+		LifetimeModels:  cloud.LifetimeModels.Names(),
+		Providers:       cloud.Providers.Names(),
+		Schedulers:      fleet.Schedulers.Names(),
+		ElasticPolicies: manager.ElasticPolicies.Names(),
 	}
 	for _, m := range model.Zoo() {
 		c.Models = append(c.Models, m.Name)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -268,5 +269,29 @@ func TestHTTPRealEstimate(t *testing.T) {
 	}
 	if est2.CostUSD <= est.CostUSD {
 		t.Fatalf("on-demand (%.2f) should cost more than transient (%.2f)", est2.CostUSD, est.CostUSD)
+	}
+}
+
+// TestHTTPCatalogBodyIsPinned holds /v1/catalog to its exact bytes:
+// every list and its order is wire contract (each registry lists its
+// default first, then the rest sorted; elastic policies read static,
+// elastic, surge).
+func TestHTTPCatalogBodyIsPinned(t *testing.T) {
+	p := New(Config{Workers: 1, QueueDepth: 1, CacheSize: 4})
+	defer p.Close()
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"models":["ResNet-9","ResNet-15","ResNet-21","ResNet-26","ResNet-32","ResNet-38","ResNet-44","ResNet-50","ResNet-56","ResNet-62","ShakeShakeSmall","ShakeShake-w40","ShakeShake-w46","ShakeShake-w52","ShakeShake-w58","ShakeShake-w64","ShakeShake-w72","ShakeShake-w80","ShakeShake-w88","ShakeShakeBig"],"gpus":["K80","P100","V100"],"regions":["us-east1","us-central1","us-west1","europe-west1","europe-west4","asia-east1"],"tiers":["on-demand","transient"],"lifetime_models":["table5","calm-weibull","diurnal","norevoke","weibull"],"providers":["gce","aws","serverless-cpu"],"schedulers":["fifo","arbitrage","cost-greedy","deadline-aware","predictive"],"elastic_policies":["static","elastic","surge"],"experiments":["table1","fig2","fig3","table2","table3","fig4","fig5","ckptseq","table4","fig6","fig7","table5","fig8","fig9","fig10","fig11","fig12","endtoend","sweep","revmodels","fleet","providers","regret","elastic"]}` + "\n"
+	if string(body) != want {
+		t.Fatalf("catalog body:\n got %s\nwant %s", body, want)
 	}
 }

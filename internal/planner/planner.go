@@ -369,8 +369,8 @@ type ScenarioQuery struct {
 	// gpu/workers query, so both phrasings share one cache line.
 	Cluster string `json:"cluster,omitempty"`
 	// Elastic names a cluster membership policy from the catalog's
-	// elastic_policies list. Empty (or "static") holds the launch
-	// shape and only replaces revocations.
+	// elastic_policies list. Empty (or static, the default) holds the
+	// launch shape and only replaces revocations.
 	Elastic string `json:"elastic,omitempty"`
 	// RevModel selects the revocation/lifetime regime the simulated
 	// cloud applies to transient servers — a name from the catalog's
@@ -425,7 +425,7 @@ func (q ScenarioQuery) scenario() (experiments.Scenario, int64, int64, error) {
 	if err != nil {
 		return experiments.Scenario{}, 0, 0, err
 	}
-	spec, err := cloud.LookupProvider(q.Provider)
+	spec, err := cloud.Providers.Lookup(q.Provider)
 	if err != nil {
 		return experiments.Scenario{}, 0, 0, err
 	}
@@ -438,12 +438,10 @@ func (q ScenarioQuery) scenario() (experiments.Scenario, int64, int64, error) {
 			return experiments.Scenario{}, 0, 0, fmt.Errorf("planner: %s is not offered in %s by provider %s", grp.GPU, r, spec.Name)
 		}
 	}
-	if q.RevModel != "" {
-		if _, err := cloud.LookupLifetimeModel(q.RevModel); err != nil {
-			return experiments.Scenario{}, 0, 0, err
-		}
+	if _, err := cloud.LifetimeModels.Lookup(q.RevModel); err != nil {
+		return experiments.Scenario{}, 0, 0, err
 	}
-	if _, err := manager.ElasticPolicyByName(q.Elastic); err != nil {
+	if _, err := manager.ElasticPolicies.Lookup(q.Elastic); err != nil {
 		return experiments.Scenario{}, 0, 0, err
 	}
 	if workers <= 0 {
@@ -579,7 +577,7 @@ func (q GridQuery) spec() (experiments.SweepSpec, error) {
 	}
 	if len(q.RevModels) > 0 {
 		for _, name := range q.RevModels {
-			if _, err := cloud.LookupLifetimeModel(name); err != nil {
+			if _, err := cloud.LifetimeModels.Lookup(name); err != nil {
 				return experiments.SweepSpec{}, err
 			}
 		}
@@ -587,7 +585,7 @@ func (q GridQuery) spec() (experiments.SweepSpec, error) {
 	}
 	if len(q.Providers) > 0 {
 		for _, name := range q.Providers {
-			if _, err := cloud.LookupProvider(name); err != nil {
+			if _, err := cloud.Providers.Lookup(name); err != nil {
 				return experiments.SweepSpec{}, err
 			}
 		}

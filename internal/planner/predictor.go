@@ -134,7 +134,7 @@ func (p *Planner) Estimate(ctx context.Context, q ScenarioQuery) (EstimateResult
 	if err != nil {
 		return EstimateResult{}, &BadRequestError{err}
 	}
-	if sc.ProviderName() != cloud.DefaultProviderName {
+	if !cloud.Providers.IsDefault(sc.Provider) {
 		// The Eq. 4/5 fit is calibrated against the default provider's
 		// price book, startup times, and hazard; answering for another
 		// world would silently use the wrong numbers. Measured queries
@@ -143,7 +143,7 @@ func (p *Planner) Estimate(ctx context.Context, q ScenarioQuery) (EstimateResult
 			"planner: analytic estimates support only the default provider %q; measure provider %q instead",
 			cloud.DefaultProviderName, sc.Provider)}
 	}
-	if sc.RevModelName() != cloud.DefaultLifetimeModelName {
+	if cloud.RevModelName(sc.Provider, sc.RevModel) != cloud.DefaultLifetimeModelName {
 		// The Eq. 5 revocation estimator is fit from lifetime campaigns
 		// run under the default calibration; answering for another
 		// regime would silently use the wrong hazard. Measured queries

@@ -113,7 +113,7 @@ func parseRecord(row []string) (ServerRecord, error) {
 // EmpiricalLifetimeModel turns revocation records into a bootstrap
 // trace-replay cloud.LifetimeModel: simulations under it draw
 // lifetimes from the recorded outcomes instead of the calibrated
-// distributions. Register the result with cloud.RegisterLifetimeModel
+// distributions. Register the result with cloud.LifetimeModels.Register
 // to make it selectable by name (cmd/pland's -trace flag does both).
 func EmpiricalLifetimeModel(name string, recs []ServerRecord) (*cloud.EmpiricalModel, error) {
 	samples := make([]cloud.LifetimeSample, len(recs))
