@@ -89,9 +89,9 @@ func conditionalMedianHours(cfg revocationConfig) float64 {
 			early = 0
 		case x < 2:
 			// P(E ≤ x) plus the mass redrawn uniformly on (0.02, 2).
-			early = 1 - math.Exp(-x/cfg.earlyMeanH)
+			early = 1 - stats.Exp(-x/cfg.earlyMeanH)
 			if x > 0.02 {
-				early += math.Exp(-2/cfg.earlyMeanH) * (x - 0.02) / 1.98
+				early += stats.Exp(-2/cfg.earlyMeanH) * (x - 0.02) / 1.98
 			}
 			if early > 1 {
 				early = 1

@@ -2,7 +2,8 @@ package regress
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/stats"
 )
 
 // Kernel is a positive-definite similarity function for SVR.
@@ -33,7 +34,7 @@ func (k RBF) Eval(a, b []float64) float64 {
 		d := a[i] - b[i]
 		d2 += d * d
 	}
-	return math.Exp(-d2 / (2 * k.Sigma * k.Sigma))
+	return stats.Exp(-d2 / (2 * k.Sigma * k.Sigma))
 }
 
 // String names the kernel.

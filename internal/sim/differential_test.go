@@ -7,7 +7,10 @@ package sim
 // Both run identical randomized schedule/cancel/reschedule/run
 // scripts; every observable must match: fire order, fire timestamps,
 // FiredEvents, the clock, and the pending count (which doubles as the
-// O(n)-scan oracle for the kernel's O(1) Pending counter).
+// O(n)-scan oracle for the kernel's O(1) Pending counter). Scripts
+// include firings that schedule zero to three successors and firings
+// that cancel enough events to compact the queue while their own entry
+// still holds the root (the in-place fire path).
 
 import (
 	"container/heap"
@@ -185,7 +188,7 @@ func applyOps(api kernelAPI, ops []op) (log []firing, snaps []uint64) {
 	}
 	for _, o := range ops {
 		delay := float64(o.a)*0.5 + float64(o.b)*0.01
-		switch o.kind % 7 {
+		switch o.kind % numOpKinds {
 		case 0: // cancellable schedule
 			id := nextID
 			nextID++
@@ -217,6 +220,39 @@ func applyOps(api kernelAPI, ops []op) (log []firing, snaps []uint64) {
 			api.runUntil(api.now() + Time(delay))
 		case 6: // single step
 			api.step()
+		case 7: // fan-out: firing posts zero to three follow-ups
+			id := nextID
+			nextID += 4
+			api.post(delay, func() {
+				log = append(log, firing{id: id, at: api.now()})
+				for i := 0; i < int(o.b)%4; i++ {
+					api.post(float64(i)*0.5+float64(o.a%3)*0.25, record(id+1+i))
+				}
+			})
+		case 8: // cancel storm inside a firing
+			// A batch of cancellable events, then a trigger that fires
+			// before them and cancels seven in eight of them before it
+			// schedules anything: the queue compacts while the fired
+			// trigger still holds the root. It then schedules zero to
+			// two cancellable events that later ops may cancel.
+			id := nextID
+			n := compactMinHeap + int(o.a)%32
+			nextID += 1 + n + 2
+			batch := make([]func(), n)
+			for i := range batch {
+				batch[i] = api.schedule(delay+1+float64(i)*0.125, record(id+1+i))
+			}
+			api.post(delay, func() {
+				log = append(log, firing{id: id, at: api.now()})
+				for i, cancel := range batch {
+					if i%8 != 0 {
+						cancel()
+					}
+				}
+				for i := 0; i < int(o.b)%3; i++ {
+					cancels = append(cancels, api.schedule(float64(i)*0.25, record(id+1+n+i)))
+				}
+			})
 		}
 		snapshot()
 	}
@@ -251,15 +287,18 @@ func runDifferential(t *testing.T, ops []op) {
 	}
 }
 
+// numOpKinds is the number of op kinds applyOps interprets.
+const numOpKinds = 9
+
 // randomOps generates a seeded script. Cancel-heavy mixes push the
 // optimized kernel across its compaction threshold.
 func randomOps(seed int64, n int, cancelHeavy bool) []op {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]op, n)
 	for i := range ops {
-		kind := byte(rng.Intn(7))
+		kind := byte(rng.Intn(numOpKinds))
 		if cancelHeavy && rng.Intn(3) != 0 {
-			kind = []byte{0, 3, 4}[rng.Intn(3)] // schedule/cancel/reschedule only
+			kind = []byte{0, 3, 4, 8}[rng.Intn(4)] // schedule/cancel/reschedule/storm only
 		}
 		ops[i] = op{kind: kind, a: byte(rng.Intn(256)), b: byte(rng.Intn(256))}
 	}
@@ -294,6 +333,15 @@ func TestDifferentialTieBreak(t *testing.T) {
 		{{0, 200, 0}, {0, 100, 0}, {4, 0, 3}, {6, 0, 0}, {6, 0, 0}},
 		// runUntil landing exactly on an event's timestamp.
 		{{0, 2, 0}, {5, 2, 0}, {0, 2, 0}, {5, 2, 0}},
+		// Firings that post zero, one, two and three follow-ups, at
+		// the firing's own instant and later, run by step and run.
+		{{7, 0, 0}, {7, 0, 1}, {7, 0, 2}, {7, 3, 3}, {6, 0, 0}, {6, 0, 0}},
+		// A cancel storm alone: the queue holds just the batch and the
+		// trigger, so compaction runs mid-firing with the fired
+		// trigger at the root, which then schedules nothing; the same
+		// with two follow-ups, stepped through.
+		{{8, 0, 0}},
+		{{8, 0, 2}, {6, 0, 0}, {6, 0, 0}, {3, 0, 0}},
 	}
 	for _, ops := range cases {
 		runDifferential(t, ops)
@@ -305,6 +353,7 @@ func TestDifferentialTieBreak(t *testing.T) {
 func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 1, 5, 5, 3, 0, 0, 5, 20, 0})
 	f.Add([]byte{2, 0, 0, 2, 0, 0, 6, 0, 0})
+	f.Add([]byte{7, 0, 3, 8, 0, 2, 6, 0, 0, 3, 1, 0})
 	for seed := int64(1); seed <= 3; seed++ {
 		ops := randomOps(seed, 64, seed == 2)
 		buf := make([]byte, 0, len(ops)*3)

@@ -15,6 +15,8 @@
 // a cancelled event stays queued until popped — with a compaction pass
 // once cancelled entries outnumber live ones, so Cancel is O(1) and the
 // (time, seq) fire order never depends on when cancellations happened.
+// Events fire in place: a firing's first successor replaces it at the
+// root, so the common one-in, one-out step costs one heap operation.
 package sim
 
 import (
@@ -115,8 +117,13 @@ type heapEntry struct {
 	slot int32
 }
 
-// anonSlot marks a fire-and-forget entry with no slot behind it.
-const anonSlot int32 = -1
+// anonSlot marks a fire-and-forget entry with no slot behind it;
+// firedSlot marks the root entry whose callback is running (see
+// fireTop). At most one entry, the root, carries firedSlot.
+const (
+	anonSlot  int32 = -1
+	firedSlot int32 = -2
+)
 
 // FnID names a callback interned with Kernel.Register. The zero FnID
 // is invalid.
@@ -238,27 +245,11 @@ func (k *Kernel) PostAfter(d float64, id FnID) {
 // Step executes the next event, advancing the clock to its timestamp.
 // It returns false when the queue is empty.
 func (k *Kernel) Step() bool {
+	k.dropFired()
 	for len(k.heap) > 0 {
-		e := k.heap[0]
-		k.popTop()
-		var fn func()
-		if e.slot == anonSlot {
-			fn = k.fns[e.id-1]
-		} else {
-			s := &k.slots[e.slot]
-			if s.canceled {
-				k.stale--
-				k.release(e.slot)
-				continue
-			}
-			fn = s.fn
-			k.release(e.slot)
+		if k.fireTop() {
+			return true
 		}
-		k.now = e.at
-		k.live--
-		k.fired++
-		fn()
-		return true
 	}
 	return false
 }
@@ -269,39 +260,61 @@ func (k *Kernel) Run() {
 }
 
 // RunUntil executes events with timestamps ≤ t, then advances the clock
-// to exactly t. Events scheduled after t remain queued. The loop is the
-// simulator's innermost hot path, so the pop-and-dispatch sequence is
-// fused here rather than composed from peek and Step.
+// to exactly t. Events scheduled after t remain queued.
 func (k *Kernel) RunUntil(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, k.now))
 	}
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if e.at > t {
-			break
-		}
-		k.popTop()
-		var fn func()
-		if e.slot == anonSlot {
-			fn = k.fns[e.id-1]
-		} else {
-			s := &k.slots[e.slot]
-			if s.canceled {
-				k.stale--
-				k.release(e.slot)
-				continue
-			}
-			fn = s.fn
-			k.release(e.slot)
-		}
-		k.now = e.at
-		k.live--
-		k.fired++
-		fn()
+	k.dropFired()
+	for len(k.heap) > 0 && k.heap[0].at <= t {
+		k.fireTop()
 	}
 	if !math.IsInf(float64(t), 1) {
 		k.now = t
+	}
+}
+
+// fireTop runs the callback of the root entry, or discards the entry if
+// it was cancelled, and reports whether a callback ran.
+//
+// The entry is fired in place: it stays at the root, marked firedSlot,
+// while its callback runs. The callback's first Post or At overwrites
+// it and sifts down from the root once; a near-term event sinks only a
+// few levels. Popping first would instead move the far-future tail
+// entry to the root and sink it through every level, and then sift the
+// new event up. A callback that schedules nothing leaves the mark,
+// and the entry is popped when the callback returns.
+func (k *Kernel) fireTop() bool {
+	e := &k.heap[0]
+	var fn func()
+	if e.slot == anonSlot {
+		fn = k.fns[e.id-1]
+	} else {
+		s := &k.slots[e.slot]
+		if s.canceled {
+			k.stale--
+			k.release(e.slot)
+			k.popTop()
+			return false
+		}
+		fn = s.fn
+		k.release(e.slot)
+	}
+	k.now = e.at
+	k.live--
+	k.fired++
+	e.slot = firedSlot
+	fn()
+	k.dropFired()
+	return true
+}
+
+// dropFired pops the root if it is a fired entry no callback replaced.
+// Step and RunUntil call it on entry too, in case a callback is itself
+// driving the kernel.
+func (k *Kernel) dropFired() {
+	if len(k.heap) > 0 && k.heap[0].slot == firedSlot {
+		k.popTop()
 	}
 }
 
@@ -317,14 +330,19 @@ func (k *Kernel) release(idx int32) {
 }
 
 // compact rebuilds the heap without cancelled entries, releasing their
-// slots. Safe at any point: the (at, seq) ordering is total, so the
+// slots, and without the fired root a running callback has not yet
+// replaced: its slot was released when it fired, and it must not fire
+// again. Safe at any point: the (at, seq) ordering is total, so the
 // rebuilt heap pops in exactly the order the old one would have.
 func (k *Kernel) compact() {
 	h := k.heap[:0]
 	for _, e := range k.heap {
-		if e.slot != anonSlot && k.slots[e.slot].canceled {
+		switch {
+		case e.slot == firedSlot:
+			// dropped; its slot was released when it fired
+		case e.slot != anonSlot && k.slots[e.slot].canceled:
 			k.release(e.slot)
-		} else {
+		default:
 			h = append(h, e)
 		}
 	}
@@ -344,7 +362,13 @@ func heapLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// heapPush inserts e. While a callback runs, its fired entry still
+// holds the root; the first push takes that place and sifts down.
 func (k *Kernel) heapPush(e heapEntry) {
+	if len(k.heap) > 0 && k.heap[0].slot == firedSlot {
+		k.siftDown(0, e)
+		return
+	}
 	k.heap = append(k.heap, e)
 	h := k.heap
 	i := len(h) - 1

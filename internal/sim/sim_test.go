@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +312,30 @@ func TestPendingCounter(t *testing.T) {
 	k.Run()
 	if k.Pending() != 0 {
 		t.Fatalf("after drain pending = %d, want 0", k.Pending())
+	}
+}
+
+// TestDriveFromCallback checks a callback that itself steps and runs
+// the kernel: the fired entry it was called from must be gone before
+// the nested call fires the next one, and must not fire again.
+func TestDriveFromCallback(t *testing.T) {
+	var k Kernel
+	var got []string
+	rec := func(s string) func() { return func() { got = append(got, s) } }
+	k.At(1, func() {
+		got = append(got, "a")
+		k.Step()
+		k.At(k.Now()+5, rec("e"))
+		k.RunUntil(3)
+	})
+	k.At(2, rec("b"))
+	k.At(3, rec("c"))
+	k.At(4, rec("d"))
+	k.Run()
+	if got, want := strings.Join(got, " "), "a b c d e"; got != want {
+		t.Fatalf("fire order %q, want %q", got, want)
+	}
+	if k.FiredEvents() != 5 || k.Pending() != 0 {
+		t.Fatalf("fired %d pending %d, want 5 and 0", k.FiredEvents(), k.Pending())
 	}
 }

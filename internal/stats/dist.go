@@ -94,8 +94,10 @@ type LogNormalDist struct {
 func MakeLogNormalDist(mean, cov float64) LogNormalDist {
 	d := LogNormalDist{mean: mean, cov: cov}
 	if mean > 0 && cov > 0 {
-		sigma2 := math.Log(1 + cov*cov)
-		d.mu = math.Log(mean) - sigma2/2
+		// The conversions round cov² and σ²/2 (a multiply by 0.5 once
+		// compiled) before each sum, as in Sample.
+		sigma2 := math.Log(1 + float64(cov*cov))
+		d.mu = math.Log(mean) - float64(sigma2/2)
 		d.sigma = math.Sqrt(sigma2)
 	}
 	return d
@@ -116,7 +118,9 @@ func (d *LogNormalDist) Sample(g *Rng) float64 {
 	if d.cov <= 0 {
 		return d.mean
 	}
-	return math.Exp(d.mu + d.sigma*g.r.NormFloat64())
+	// The conversion rounds σ·z before the sum, so no target may fuse
+	// the two into one multiply-add and draw a different argument.
+	return Exp(d.mu + float64(d.sigma*g.r.NormFloat64()))
 }
 
 // Exponential returns an exponential variate with the given mean.

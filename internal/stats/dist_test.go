@@ -159,3 +159,20 @@ func TestWeibullPositive(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLogNormalSample times one step-time draw at the latency the
+// simulator pays for it: each draw's argument waits on the previous
+// draw (through a zero-valued term the compiler may not fold away), as
+// a worker's next step waits on the end of its last one.
+func BenchmarkLogNormalSample(b *testing.B) {
+	b.ReportAllocs()
+	g := NewRng(1)
+	d := MakeLogNormalDist(0.25, 0.02)
+	mu := d.mu
+	var v float64
+	for i := 0; i < b.N; i++ {
+		d.mu = mu + float64(v*0)
+		v = d.Sample(g)
+	}
+	sinkFloat = v
+}
